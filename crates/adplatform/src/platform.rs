@@ -20,9 +20,9 @@ use crate::billing::{BillingLedger, BudgetView, Invoice};
 use crate::campaign::{AdCreative, AdStatus, CampaignStore};
 use crate::compiled::EvalMode;
 use crate::delivery::{
-    apply_impression, candidate_verdicts, decide_opportunity, decide_opportunity_traced,
-    decide_opportunity_traced_with_scratch, CandidateVerdict, Decision, DeliveryScratch,
-    DeliveryStats, FrequencyCaps, PendingImpression, TracedDecision,
+    apply_impression, candidate_verdicts, decide_opportunity,
+    decide_opportunity_traced_with_scratch, CandidateVerdict, DeliveryScratch, DeliveryStats,
+    FrequencyCaps, PendingImpression, TracedDecision,
 };
 use crate::enforcement::{scan_account, EnforcementConfig, SuspicionReport};
 use crate::index::SelectionMode;
@@ -504,52 +504,13 @@ impl Platform {
     /// The **read-only** half of [`Platform::browse`], for callers that own
     /// their mutable delivery state: eligibility and the auction run
     /// against `&self` (catalog, campaigns, audiences, suspensions) plus
-    /// the caller's budget view, frequency caps, and RNG. Nothing on the
-    /// platform is mutated — the engine's shard threads share one
-    /// `&Platform` and fold the returned impressions in later via
-    /// [`Platform::apply_impression`].
-    pub fn decide_browse<B: BudgetView, R: rand::Rng>(
-        &self,
-        user: UserId,
-        at: SimTime,
-        budget: &B,
-        freq: &FrequencyCaps,
-        rng: &mut R,
-    ) -> Result<Decision> {
-        Ok(self
-            .decide_browse_traced(user, at, budget, freq, rng)?
-            .decision)
-    }
-
-    /// [`Platform::decide_browse`] with the eligibility breakdown and
-    /// auction trace attached. The engine's instrumented shard loop calls
-    /// this form and forwards the extras to its telemetry; RNG consumption
-    /// is identical to the untraced form, so mixing the two across runs
-    /// never changes simulation results.
-    pub fn decide_browse_traced<B: BudgetView, R: rand::Rng>(
-        &self,
-        user: UserId,
-        at: SimTime,
-        budget: &B,
-        freq: &FrequencyCaps,
-        rng: &mut R,
-    ) -> Result<TracedDecision> {
-        let profile = self.profiles.get(user)?;
-        Ok(decide_opportunity_traced(
-            profile,
-            at,
-            &self.campaigns,
-            &self.audiences,
-            &self.suspended,
-            budget,
-            freq,
-            &self.config.auction,
-            rng,
-        ))
-    }
-
-    /// [`Platform::decide_browse_traced`] with caller-owned
-    /// [`DeliveryScratch`]: identical results, but all per-opportunity
+    /// the caller's budget view, frequency caps, RNG and
+    /// [`DeliveryScratch`]. Nothing on the platform is mutated — the
+    /// engine's shard threads share one `&Platform` and fold the returned
+    /// impressions in later via [`Platform::apply_impression`].
+    ///
+    /// The eligibility breakdown and auction trace come attached for
+    /// telemetry; they never change RNG consumption. All per-opportunity
     /// working memory comes from `scratch`, so a caller that keeps one
     /// scratch per thread (as the engine's shards do) decides
     /// opportunities without allocating.
@@ -601,7 +562,8 @@ impl Platform {
 
     /// The **write** half of [`Platform::browse`]: charges billing, bumps
     /// the (global) frequency counter, and records the impression in the
-    /// platform log. Counterpart of [`Platform::decide_browse`]; delivery
+    /// platform log. Counterpart of
+    /// [`Platform::decide_browse_traced_with_scratch`]; delivery
     /// statistics are *not* touched — batch callers account for those
     /// themselves, per shard.
     pub fn apply_impression(&mut self, pending: &PendingImpression) -> Money {

@@ -9,8 +9,8 @@
 //! population end to end.
 //!
 //! Every run is instrumented through `run_instrumented`, so the sweep also
-//! yields a per-phase wall-time breakdown (session-gen / auction /
-//! delivery / merge / apply) with p50/p95/p99 tick latencies, and a
+//! yields a per-phase wall-time breakdown (session-gen / auction / merge /
+//! apply) with p50/p95/p99 tick latencies, and a
 //! same-binary overhead measurement (telemetry enabled vs the disabled
 //! handle `Engine::run` uses).
 //!
@@ -71,10 +71,9 @@ use websim::{SessionConfig, SiteRegistry};
 
 /// The per-phase wall-time histograms the engine records, in pipeline
 /// order. `engine.tick_ns` (whole-tick latency) is reported separately.
-const PHASES: [(&str, &str); 5] = [
+const PHASES: [(&str, &str); 4] = [
     ("session-gen", "phase.session_gen_ns"),
     ("auction", "phase.auction_ns"),
-    ("delivery", "phase.delivery_ns"),
     ("merge", "phase.merge_ns"),
     ("apply", "phase.apply_ns"),
 ];
@@ -1156,7 +1155,7 @@ fn main() {
         eval_speedup_10k >= 2.0,
     );
     verdict(
-        "every engine phase recorded wall time (session-gen/auction/delivery/merge/apply)",
+        "every engine phase recorded wall time (session-gen/auction/merge/apply)",
         phases_recorded,
     );
     // Journaling every auction costs ~30ns on an ~800ns workload, so the

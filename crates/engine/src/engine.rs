@@ -322,7 +322,7 @@ impl Engine {
 
     /// [`Engine::run`] with full observability: returns the outcome plus a
     /// [`Telemetry`] snapshot holding per-phase wall-time histograms
-    /// (`phase.session_gen_ns`, `phase.auction_ns`, `phase.delivery_ns`,
+    /// (`phase.session_gen_ns`, `phase.auction_ns`,
     /// `phase.merge_ns`, `phase.apply_ns`), per-tick latency
     /// (`engine.tick_ns`), deterministic counters, and the flight journal.
     ///
@@ -392,30 +392,6 @@ impl Engine {
             users,
             extension_users,
             &mut telemetry,
-            options,
-            None,
-        )
-    }
-
-    /// [`Engine::run_resilient`] recording into `telemetry` (adds the
-    /// `faults.injected` / `faults.recovered` / `faults.unrecoverable` /
-    /// `checkpoint.bytes` counters, all present — at zero — even in a
-    /// fault-free run).
-    pub fn run_resilient_with_telemetry(
-        &self,
-        platform: &mut Platform,
-        sites: &SiteRegistry,
-        users: &[UserId],
-        extension_users: &BTreeSet<UserId>,
-        options: &ResilienceOptions,
-        telemetry: &mut Telemetry,
-    ) -> adsim_types::Result<ResilientOutcome> {
-        self.run_core(
-            platform,
-            sites,
-            users,
-            extension_users,
-            telemetry,
             options,
             None,
         )

@@ -47,7 +47,10 @@ pub use engine::{
 };
 pub use event::ShardEvent;
 pub use merge::{merge_batches, merge_batches_lossy, MergeError};
-pub use shard::{CrashPoint, CrashSignal, ShardBatch, ShardState, TickProbe};
+pub use shard::{
+    CrashPoint, CrashSignal, PageView, ShardBatch, ShardCore, ShardState, TickProbe, UserStream,
+    ViewTrace,
+};
 // The resilience substrate (fault plans, checkpoints), re-exported so
 // engine callers can schedule faults and resume runs without depending on
 // the crate directly.

@@ -1,4 +1,5 @@
-//! Per-shard execution state.
+//! Per-shard execution state, and the page-view step both execution paths
+//! share.
 //!
 //! A shard exclusively owns a subset of users (assigned by
 //! [`treads_workload::ShardPlan`]) and everything keyed on them:
@@ -6,20 +7,25 @@
 //! * each user's **browsing schedule**, generated one day at a time from
 //!   the per-user-per-day substream `session-user-{id}-day-{d}` —
 //!   identical whichever shard (or pipeline stage) runs it;
-//! * each user's **auction RNG**, substream `engine-user-{id}` — likewise;
-//! * the shard's **frequency caps**, which are per-`(ad, user)` counters
-//!   and therefore never shared across shards;
-//! * the **extension logs** of its users who run the Treads extension.
+//! * each user's [`UserStream`] — auction RNG (substream
+//!   `engine-user-{id}`) and merge-key sequence counters — likewise;
+//! * the shard's [`ShardCore`]: **frequency caps**, which are per-`(ad,
+//!   user)` counters and therefore never shared across shards, and the
+//!   **extension logs** of its users who run the Treads extension.
 //!
-//! During a tick the shard only *reads* the platform (via
-//! [`Platform::decide_browse`] against a frozen
+//! [`ShardCore::page_view`] is the one place a page view is decided: the
+//! batch tick ([`ShardState::run_tick`]) walks its users' schedules into
+//! it, and the serving front end calls it once per request. It only
+//! *reads* the platform (via
+//! [`Platform::decide_browse_traced_with_scratch`] against a frozen
 //! [`adplatform::billing::BudgetSnapshot`]) and accumulates its
-//! globally-visible effects as a [`ShardBatch`] for the engine to merge.
+//! globally-visible effects into a [`ShardBatch`] for the caller to merge.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use adplatform::auction::AuctionOutcome;
 use adplatform::billing::BudgetView;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps};
+use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps, TracedDecision};
 use adplatform::Platform;
 use adsim_types::rng::substream;
 use adsim_types::{SimTime, SiteId, UserId};
@@ -29,13 +35,79 @@ use treads_telemetry::{
     FlightEvent, FlightKind, FlightRecorder, Histogram, Registry, RequestTrace, TraceConfig,
     TraceEventKind, TraceId,
 };
-use websim::{BrowsingEvent, ExtensionLog, SessionConfig, SessionSchedule, SiteRegistry};
+use websim::{BrowsingEvent, ExtensionLog, SessionConfig, SessionSchedule, Site, SiteRegistry};
 
 use treads_resilience::checkpoint::{ExtensionSnapshot, ShardCheckpoint, UserCursor};
 use treads_resilience::LostWork;
 
 use crate::engine::DAY_MS;
 use crate::event::ShardEvent;
+
+/// One user's decide-path state: everything a page view advances besides
+/// the shard-wide [`ShardCore`].
+#[derive(Clone)]
+pub struct UserStream {
+    /// Auction randomness: substream `engine-user-{id}` of the engine seed.
+    pub rng: StdRng,
+    /// Per-user event counter; becomes the `user_seq` merge-key component.
+    pub seq: u64,
+    /// Per-user flight-event counter: the `seq` tie-breaker of this user's
+    /// journal entries. Advances only on journaled events, entirely from
+    /// user-owned state, so it is shard-count-invariant like `seq`.
+    pub fseq: u64,
+}
+
+impl UserStream {
+    /// `user`'s stream at the start of a run. The substream label is a
+    /// determinism contract: every path that decides for `user` under
+    /// `seed` draws from this one stream.
+    pub fn new(seed: u64, user: UserId) -> Self {
+        Self {
+            rng: substream(seed, &format!("engine-user-{}", user.raw())),
+            seq: 0,
+            fseq: 0,
+        }
+    }
+
+    /// The trace id of the user's next page view and, if `config`
+    /// head-samples it, the view's fresh trace; `TraceId(0)` and no trace
+    /// when tracing is off. The id is keyed on the view's *first* merge
+    /// key — `seq` before any pixel or impression of the view consumes
+    /// one — so any stage that knows the request key can re-derive it, on
+    /// any shard count and on either path.
+    pub fn open_trace(
+        &self,
+        config: &TraceConfig,
+        seed: u64,
+        user: UserId,
+        at: SimTime,
+    ) -> (TraceId, Option<RequestTrace>) {
+        if !config.enabled {
+            return (TraceId(0), None);
+        }
+        let id = TraceId::from_key(seed, at, user.raw(), self.seq);
+        let trace = config
+            .sampled(id)
+            .then(|| RequestTrace::new(id, at, user.raw(), self.seq, true));
+        (id, trace)
+    }
+}
+
+/// Inputs of day-keyed schedule generation, retained so days can be
+/// materialized lazily (see [`UserRuntime::buf`]).
+#[derive(Clone)]
+struct DaySource {
+    site_ids: Vec<SiteId>,
+    session: SessionConfig,
+    seed: u64,
+}
+
+impl DaySource {
+    /// Day `day` of `user`'s browsing schedule.
+    fn day(&self, user: UserId, day: u64) -> Vec<BrowsingEvent> {
+        SessionSchedule::generate_day_for_user(user, &self.site_ids, &self.session, self.seed, day)
+    }
+}
 
 /// One user's execution state inside its owning shard.
 ///
@@ -56,8 +128,7 @@ use crate::event::ShardEvent;
 #[derive(Clone)]
 struct UserRuntime {
     id: UserId,
-    /// Auction randomness: substream `engine-user-{id}` of the engine seed.
-    rng: StdRng,
+    stream: UserStream,
     /// Pending window of the browsing schedule: the unconsumed events of
     /// every day generated so far, time-sorted.
     buf: Vec<BrowsingEvent>,
@@ -68,12 +139,13 @@ struct UserRuntime {
     /// Total browsing events consumed since the run began — the
     /// checkpoint cursor (day-generation replays it on resume).
     consumed: u64,
-    /// Per-user event counter; becomes the `user_seq` merge-key component.
-    seq: u64,
-    /// Per-user flight-event counter: the `seq` tie-breaker of this user's
-    /// journal entries. Advances only on journaled events, entirely from
-    /// user-owned state, so it is shard-count-invariant like `seq`.
-    fseq: u64,
+    /// Set whenever the user consumes a browsing event (the only way
+    /// cursor/RNG/seq state can move) since the last checkpoint frame;
+    /// drained by [`ShardState::take_dirty_cursors`]. A crash-restored
+    /// snapshot restores the flag with the rest of the user, so it can be
+    /// spuriously *set* after recovery (a harmless, slightly larger delta)
+    /// but never spuriously clear.
+    dirty: bool,
 }
 
 impl UserRuntime {
@@ -81,11 +153,34 @@ impl UserRuntime {
     fn cursor(&self) -> UserCursor {
         UserCursor {
             user: self.id,
-            rng: self.rng.state(),
+            rng: self.stream.rng.state(),
             cursor: self.consumed,
-            seq: self.seq,
-            fseq: self.fseq,
+            seq: self.stream.seq,
+            fseq: self.stream.fseq,
         }
+    }
+
+    /// Consumes the user's next browsing event if it falls before
+    /// `tick_end`, returning its `(site, at)`. When the window is exhausted
+    /// the next day is generated on demand, if it can still contribute
+    /// events before `tick_end` (prefetched shards never take that path).
+    fn next_view(&mut self, days: &DaySource, tick_end: SimTime) -> Option<(SiteId, SimTime)> {
+        while self.buf_pos == self.buf.len() {
+            if self.gen_days >= days.session.days || self.gen_days * DAY_MS >= tick_end.millis() {
+                return None;
+            }
+            self.buf = days.day(self.id, self.gen_days);
+            self.buf_pos = 0;
+            self.gen_days += 1;
+        }
+        let BrowsingEvent::PageView { site, at, .. } = self.buf[self.buf_pos];
+        if at >= tick_end {
+            return None;
+        }
+        self.buf_pos += 1;
+        self.consumed += 1;
+        self.dirty = true;
+        Some((site, at))
     }
 }
 
@@ -116,34 +211,125 @@ impl TickProbe {
     }
 }
 
-/// Delivery (win handling) is micro-scale work — timing every win would
-/// cost more than the work itself — so `phase.delivery_ns` times one win
-/// in this many and scales the sample up.
-const DELIVERY_SAMPLE: u64 = 16;
+/// Tick-local recording state of [`ShardCore::page_view`]: counters,
+/// value histograms and the flight journal. Hot-loop increments hit plain
+/// fields; the registry (a name-keyed map) is touched once per tick at
+/// flush. Outcome and page-view counts are not kept here — the batch's
+/// [`DeliveryStats`] and `page_views` already carry them.
+pub struct TickRecorder {
+    tally: Tally,
+    eligible: Histogram,
+    candidates: Histogram,
+    flight: FlightRecorder,
+}
 
-/// Tick-local counter accumulator. Hot-loop increments hit plain fields;
-/// the registry (a name-keyed map) is touched once per tick at flush.
+/// A [`TickRecorder`]'s plain counters.
 #[derive(Default)]
-struct TickTally {
-    page_views: u64,
+struct Tally {
     considered: u64,
+    index_pruned: u64,
     not_servable: u64,
     suspended: u64,
     over_budget: u64,
     frequency_capped: u64,
     targeting_mismatch: u64,
-    won: u64,
-    lost_to_background: u64,
-    unfilled: u64,
+    compiled_evals: u64,
     cap_rejections: u64,
     treads_observed: u64,
-    index_candidates: u64,
-    index_pruned: u64,
-    compiled_evals: u64,
+}
+
+impl TickRecorder {
+    fn new(flight_capacity: usize) -> Self {
+        Self {
+            tally: Tally::default(),
+            eligible: Histogram::small_values(),
+            candidates: Histogram::small_values(),
+            flight: FlightRecorder::with_capacity(flight_capacity.max(1)),
+        }
+    }
+
+    /// Journals one flight event, keyed on the user's flight counter.
+    fn journal(&mut self, view: &PageView<'_>, stream: &mut UserStream, kind: FlightKind) {
+        self.flight.record(FlightEvent {
+            at: view.at,
+            user: view.user,
+            seq: stream.fseq,
+            trace: view.trace_id.0,
+            kind,
+        });
+        stream.fseq += 1;
+    }
+
+    /// Tallies one slot's decision and journals it.
+    fn decided(&mut self, view: &PageView<'_>, stream: &mut UserStream, traced: &TracedDecision) {
+        let b = traced.breakdown;
+        self.eligible.observe(u64::from(b.eligible));
+        // Under indexed selection `considered` IS the candidate-set size;
+        // under the linear scan it is the whole inventory and
+        // `index_pruned` is zero.
+        self.candidates.observe(u64::from(b.considered));
+        let tally = &mut self.tally;
+        tally.considered += u64::from(b.considered);
+        tally.index_pruned += u64::from(b.index_pruned);
+        tally.not_servable += u64::from(b.not_servable);
+        tally.suspended += u64::from(b.suspended);
+        tally.over_budget += u64::from(b.over_budget);
+        tally.frequency_capped += u64::from(b.frequency_capped);
+        tally.targeting_mismatch += u64::from(b.targeting_mismatch);
+        tally.compiled_evals += u64::from(b.compiled_evals);
+        let kind = FlightKind::AuctionDecided {
+            outcome: outcome_tag(&traced.decision.outcome),
+            eligible: b.eligible,
+            frequency_capped: b.frequency_capped,
+            over_budget: b.over_budget,
+        };
+        self.journal(view, stream, kind);
+        if b.frequency_capped > 0 {
+            self.tally.cap_rejections += 1;
+            let kind = FlightKind::CapRejection {
+                ads_capped: b.frequency_capped,
+            };
+            self.journal(view, stream, kind);
+        }
+    }
+
+    /// Writes the tick's totals into `batch`'s registry and flight journal.
+    fn flush(mut self, batch: &mut ShardBatch, auction_ns: u64) {
+        let (reg, tally) = (&mut batch.telemetry, &self.tally);
+        reg.add("engine.page_views", batch.page_views);
+        reg.add("eligibility.considered", tally.considered);
+        reg.add("eligibility.not_servable", tally.not_servable);
+        reg.add("eligibility.suspended", tally.suspended);
+        reg.add("eligibility.over_budget", tally.over_budget);
+        reg.add("eligibility.frequency_capped", tally.frequency_capped);
+        reg.add("eligibility.targeting_mismatch", tally.targeting_mismatch);
+        reg.add("auction.won", batch.stats.won);
+        reg.add("auction.lost_to_background", batch.stats.lost_to_background);
+        reg.add("auction.unfilled", batch.stats.unfilled);
+        reg.add("delivery.cap_rejections", tally.cap_rejections);
+        reg.add("treads.observed", tally.treads_observed);
+        reg.add("index.candidates", tally.considered);
+        reg.add("index.pruned", tally.index_pruned);
+        reg.add("targeting.compiled_evals", tally.compiled_evals);
+        reg.merge_histogram("auction.eligible_bids", &self.eligible);
+        reg.merge_histogram("index.candidate_set_size", &self.candidates);
+        reg.observe_ns("phase.auction_ns", auction_ns);
+        batch.flight_dropped = self.flight.dropped();
+        batch.flight = self.flight.drain();
+    }
+}
+
+/// The outcome label shared by flight events and trace events.
+fn outcome_tag(outcome: &AuctionOutcome) -> &'static str {
+    match outcome {
+        AuctionOutcome::Won { .. } => "won",
+        AuctionOutcome::LostToBackground => "lost_to_background",
+        AuctionOutcome::Unfilled => "unfilled",
+    }
 }
 
 /// Everything a shard hands back after one tick.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardBatch {
     /// The producing shard's index (for deterministic collection order).
     pub shard: usize,
@@ -162,6 +348,237 @@ pub struct ShardBatch {
     /// Head-sampled request traces built this tick, in shard-local
     /// production order (the engine re-sorts by request key).
     pub traces: Vec<RequestTrace>,
+}
+
+impl ShardBatch {
+    /// An empty batch for shard `shard`.
+    pub fn new(shard: usize) -> Self {
+        Self {
+            shard,
+            ..Self::default()
+        }
+    }
+}
+
+/// One page view to decide: who, where, when.
+pub struct PageView<'s> {
+    /// The browsing user.
+    pub user: UserId,
+    /// The site viewed (its pixels fire, its slots are auctioned).
+    pub site: &'s Site,
+    /// The view's simulated instant.
+    pub at: SimTime,
+    /// The view's trace id (`TraceId(0)` when tracing is off); stamped on
+    /// the flight events the view journals.
+    pub trace_id: TraceId,
+}
+
+/// A sampled page view's trace as its caller opened it.
+pub struct ViewTrace<'t> {
+    /// The request trace.
+    pub trace: &'t mut RequestTrace,
+    /// The caller's root span: pixel events land on it, and each slot's
+    /// `decide_slot` span hangs under it.
+    pub root: usize,
+    /// Wall-clock origin of the `decide_slot` span times; `None` leaves
+    /// them without wall time.
+    pub origin: Option<Instant>,
+}
+
+/// A shard's decide-path state: frequency caps, extension logs, and
+/// decide scratch. `Clone` so crash recovery can snapshot it wholesale.
+#[derive(Clone)]
+pub struct ShardCore {
+    freq: FrequencyCaps,
+    extensions: BTreeMap<UserId, ExtensionLog>,
+    /// Reusable per-decide buffers (candidate list, bid list), warm
+    /// across every opportunity this shard ever runs.
+    /// Pure scratch: cleared before use, so it carries no state between
+    /// opportunities and is deliberately absent from checkpoints.
+    scratch: DeliveryScratch,
+}
+
+impl ShardCore {
+    /// A core capping each `(ad, user)` at `frequency_cap` impressions,
+    /// with an empty extension log for each of `extension_users`.
+    pub fn new(frequency_cap: u32, extension_users: impl IntoIterator<Item = UserId>) -> Self {
+        Self {
+            freq: FrequencyCaps::new(frequency_cap),
+            extensions: extension_users
+                .into_iter()
+                .map(|u| (u, ExtensionLog::for_user(u)))
+                .collect(),
+            scratch: DeliveryScratch::new(),
+        }
+    }
+
+    /// Consumes the core, yielding its users' extension logs.
+    pub fn into_extensions(self) -> BTreeMap<UserId, ExtensionLog> {
+        self.extensions
+    }
+
+    /// Decides one page view: every pixel fires (each advancing the
+    /// user's `seq`), then each ad slot is decided against the frozen
+    /// `budget`. A win bumps the local frequency cap immediately — so
+    /// later views see it; the platform's global counter catches up at
+    /// merge — is observed by the user's extension log, and queues an
+    /// `Impression` event in `batch`.
+    ///
+    /// Reads the platform only, and mutates only `self`, `stream`,
+    /// `batch` and the optional recorder and trace. Recording and tracing
+    /// never touch an RNG and derive everything from user-owned state, so
+    /// probed and unprobed calls simulate identically.
+    ///
+    /// # Panics
+    ///
+    /// If `view.user` is not registered on the platform (callers admit
+    /// only registered users).
+    #[allow(clippy::too_many_arguments)]
+    pub fn page_view<B: BudgetView>(
+        &mut self,
+        platform: &Platform,
+        budget: &B,
+        view: PageView<'_>,
+        stream: &mut UserStream,
+        batch: &mut ShardBatch,
+        mut recorder: Option<&mut TickRecorder>,
+        mut trace: Option<ViewTrace<'_>>,
+    ) {
+        let PageView { user, site, at, .. } = view;
+        batch.page_views += 1;
+        for &pixel in &site.pixels {
+            if let Some(t) = trace.as_mut() {
+                t.trace
+                    .event(t.root, TraceEventKind::PixelFired { pixel: pixel.raw() });
+            }
+            batch.events.push(ShardEvent::PixelFire {
+                at,
+                user,
+                user_seq: stream.seq,
+                pixel,
+            });
+            stream.seq += 1;
+        }
+        for slot in 0..u32::from(site.ad_slots_per_view) {
+            batch.stats.opportunities += 1;
+            let decide_start = trace
+                .as_ref()
+                .and_then(|t| t.origin)
+                .map(|o| (o, o.elapsed()));
+            let traced = platform
+                .decide_browse_traced_with_scratch(
+                    user,
+                    at,
+                    budget,
+                    &self.freq,
+                    &mut stream.rng,
+                    &mut self.scratch,
+                )
+                .expect("page views come from registered users");
+            if let Some(r) = recorder.as_deref_mut() {
+                r.decided(&view, stream, &traced);
+            }
+            if let Some(t) = trace.as_mut() {
+                let span = t.trace.span("decide_slot", Some(t.root), at);
+                if let Some((origin, start)) = decide_start {
+                    let dur = origin.elapsed().saturating_sub(start);
+                    t.trace
+                        .set_span_wall(span, start.as_nanos() as u64, dur.as_nanos() as u64);
+                }
+                let b = traced.breakdown;
+                t.trace.event(
+                    span,
+                    TraceEventKind::Slot {
+                        slot,
+                        considered: b.considered,
+                        index_pruned: b.index_pruned,
+                        not_servable: b.not_servable,
+                        suspended: b.suspended,
+                        over_budget: b.over_budget,
+                        frequency_capped: b.frequency_capped,
+                        targeting_mismatch: b.targeting_mismatch,
+                        eligible: b.eligible,
+                        compiled_evals: b.compiled_evals,
+                    },
+                );
+                // Per-candidate verdicts are re-derived (pure, RNG-free)
+                // only for sampled views, against the same pre-bump
+                // frequency state the decide saw.
+                let verdicts = platform
+                    .candidate_verdicts(user, budget, &self.freq)
+                    .expect("page views come from registered users");
+                for v in verdicts {
+                    t.trace.event(
+                        span,
+                        TraceEventKind::Candidate {
+                            slot,
+                            ad: v.ad.raw(),
+                            verdict: v.verdict,
+                            bid_cpm_micros: v.bid_cpm.as_micros(),
+                        },
+                    );
+                }
+                let pending = traced.decision.pending;
+                let (winner, clearing) =
+                    pending.map_or((0, 0), |p| (p.ad.raw(), p.clearing_cpm.as_micros()));
+                t.trace.event(
+                    span,
+                    TraceEventKind::Auction {
+                        slot,
+                        outcome: outcome_tag(&traced.decision.outcome),
+                        winner,
+                        clearing_cpm_micros: clearing,
+                        advertiser_bids: traced.auction.advertiser_bids,
+                        background_competitors: traced.auction.background_competitors,
+                        best_background_cpm_micros: traced.auction.best_background_cpm.as_micros(),
+                    },
+                );
+                if let Some(p) = pending {
+                    t.trace.event(
+                        span,
+                        TraceEventKind::Billed {
+                            slot,
+                            ad: p.ad.raw(),
+                            price_micros: p.clearing_cpm.as_micros() / 1000,
+                        },
+                    );
+                }
+            }
+            match traced.decision.outcome {
+                AuctionOutcome::Won { .. } => batch.stats.won += 1,
+                AuctionOutcome::LostToBackground => batch.stats.lost_to_background += 1,
+                AuctionOutcome::Unfilled => batch.stats.unfilled += 1,
+            }
+            // Exactly the wins carry an impression.
+            let Some(pending) = traced.decision.pending else {
+                continue;
+            };
+            self.freq.bump(pending.ad, user);
+            if let Some(log) = self.extensions.get_mut(&user) {
+                let creative = platform
+                    .campaigns
+                    .ad(pending.ad)
+                    .expect("won ad exists")
+                    .creative
+                    .clone();
+                log.observe(pending.ad, creative, at);
+                if let Some(r) = recorder.as_deref_mut() {
+                    r.tally.treads_observed += 1;
+                    let kind = FlightKind::TreadObserved {
+                        ad: pending.ad.raw(),
+                    };
+                    r.journal(&view, stream, kind);
+                }
+            }
+            batch.events.push(ShardEvent::Impression {
+                at,
+                user,
+                user_seq: stream.seq,
+                pending,
+            });
+            stream.seq += 1;
+        }
+    }
 }
 
 /// A point inside a tick at which an injected crash strikes.
@@ -189,25 +606,8 @@ pub struct CrashSignal;
 pub struct ShardState {
     index: usize,
     users: Vec<UserRuntime>,
-    /// Per-user dirty flags since the last checkpoint frame: set whenever
-    /// a user consumes a browsing event (the only way cursor/RNG/seq
-    /// state can move), drained by [`Self::take_dirty_cursors`]. A
-    /// crash-restored snapshot restores the flags wholesale, so a flag
-    /// can be spuriously *set* after recovery (a harmless, slightly
-    /// larger delta) but never spuriously clear.
-    dirty: Vec<bool>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    /// Inputs of day-keyed schedule generation, retained so days can be
-    /// materialized lazily (see [`UserRuntime::buf`]).
-    site_ids: Vec<SiteId>,
-    session: SessionConfig,
-    seed: u64,
-    /// Reusable per-decide buffers (candidate list, bid list), warm
-    /// across every opportunity this shard ever runs.
-    /// Pure scratch: cleared before use, so it carries no state between
-    /// opportunities and is deliberately absent from checkpoints.
-    scratch: DeliveryScratch,
+    core: ShardCore,
+    days: DaySource,
 }
 
 impl ShardState {
@@ -223,40 +623,33 @@ impl ShardState {
         seed: u64,
         frequency_cap: u32,
     ) -> Self {
-        let runtimes: Vec<UserRuntime> = users
-            .iter()
-            .map(|&id| UserRuntime {
-                id,
-                rng: substream(seed, &format!("engine-user-{}", id.raw())),
-                buf: Vec::new(),
-                buf_pos: 0,
-                gen_days: 0,
-                consumed: 0,
-                seq: 0,
-                fseq: 0,
-            })
-            .collect();
-        let extensions = users
-            .iter()
-            .filter(|u| extension_users.contains(u))
-            .map(|&u| (u, ExtensionLog::for_user(u)))
-            .collect();
         Self {
             index,
-            dirty: vec![false; runtimes.len()],
-            users: runtimes,
-            freq: FrequencyCaps::new(frequency_cap),
-            extensions,
-            site_ids: sites.to_vec(),
-            session: *session,
-            seed,
-            scratch: DeliveryScratch::new(),
+            users: users
+                .iter()
+                .map(|&id| UserRuntime {
+                    id,
+                    stream: UserStream::new(seed, id),
+                    buf: Vec::new(),
+                    buf_pos: 0,
+                    gen_days: 0,
+                    consumed: 0,
+                    dirty: false,
+                })
+                .collect(),
+            core: ShardCore::new(
+                frequency_cap,
+                users
+                    .iter()
+                    .copied()
+                    .filter(|u| extension_users.contains(u)),
+            ),
+            days: DaySource {
+                site_ids: sites.to_vec(),
+                session: *session,
+                seed,
+            },
         }
-    }
-
-    /// Number of users owned by this shard.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
     }
 
     /// Materializes every schedule day starting before `until` that is
@@ -273,14 +666,9 @@ impl ShardState {
                 user.buf.drain(..user.buf_pos);
                 user.buf_pos = 0;
             }
-            while user.gen_days < self.session.days && user.gen_days * DAY_MS < until.millis() {
-                user.buf.extend(SessionSchedule::generate_day_for_user(
-                    user.id,
-                    &self.site_ids,
-                    &self.session,
-                    self.seed,
-                    user.gen_days,
-                ));
+            while user.gen_days < self.days.session.days && user.gen_days * DAY_MS < until.millis()
+            {
+                user.buf.extend(self.days.day(user.id, user.gen_days));
                 user.gen_days += 1;
             }
         }
@@ -332,319 +720,60 @@ impl ShardState {
         // Tracing rides on the recording path: ids and sampling are pure
         // functions of user-owned state (no RNG draws, no platform
         // mutation), so traced and untraced runs simulate identically.
-        let tracing = record && probe.trace.enabled;
-        let mut batch = ShardBatch {
-            shard: self.index,
-            events: Vec::new(),
-            stats: DeliveryStats::default(),
-            page_views: 0,
-            telemetry: Registry::new(),
-            flight: Vec::new(),
-            flight_dropped: 0,
-            traces: Vec::new(),
+        let trace_config = if record {
+            probe.trace
+        } else {
+            TraceConfig::disabled()
         };
-        let mut flight = FlightRecorder::with_capacity(probe.flight_capacity.max(1));
-        // Phase wall time accumulates across the whole tick and is
-        // observed once, so the histograms read "per shard-tick". The
-        // auction timer chains per *user* (two clock reads per user-tick,
-        // not per opportunity) and covers the whole decide loop; delivery
-        // is sampled — see `DELIVERY_SAMPLE`.
+        let mut batch = ShardBatch::new(self.index);
+        let mut recorder = record.then(|| TickRecorder::new(probe.flight_capacity));
+        // Auction wall time chains per *user* (two clock reads per
+        // user-tick, not per opportunity), covers the whole decide loop,
+        // and is observed once per shard-tick.
         let mut auction_ns = 0u64;
-        let mut delivery_ns = 0u64;
-        let mut tally = TickTally::default();
-        let mut eligible_hist = Histogram::small_values();
-        let mut candidate_hist = Histogram::small_values();
-        for (ui, user) in self.users.iter_mut().enumerate() {
-            let uid = user.id;
-            let mut chain = if record { Some(Instant::now()) } else { None };
-            loop {
-                if user.buf_pos == user.buf.len() {
-                    // Window exhausted: generate the next day on demand if
-                    // it can still contribute events before `tick_end`
-                    // (prefetched shards never take this path).
-                    if user.gen_days >= self.session.days
-                        || user.gen_days * DAY_MS >= tick_end.millis()
-                    {
-                        break;
-                    }
-                    user.buf = SessionSchedule::generate_day_for_user(
-                        uid,
-                        &self.site_ids,
-                        &self.session,
-                        self.seed,
-                        user.gen_days,
-                    );
-                    user.buf_pos = 0;
-                    user.gen_days += 1;
+        for user in &mut self.users {
+            let chain = record.then(Instant::now);
+            while let Some((site, at)) = user.next_view(&self.days, tick_end) {
+                let Some(site) = sites.get(site) else {
                     continue;
-                }
-                let BrowsingEvent::PageView { site, at, .. } = user.buf[user.buf_pos];
-                if at >= tick_end {
-                    break;
-                }
-                user.buf_pos += 1;
-                user.consumed += 1;
-                self.dirty[ui] = true;
-                let site = match sites.get(site) {
-                    Some(s) => s,
-                    None => continue,
                 };
-                batch.page_views += 1;
-                tally.page_views += 1;
-                if let Some(cp) = crash {
-                    if batch.page_views > cp.after_page_views {
-                        // Die with cursors/RNGs already advanced for this
-                        // page view: the most hostile partial state.
-                        return Err(CrashSignal);
-                    }
+                if crash.is_some_and(|cp| batch.page_views >= cp.after_page_views) {
+                    // Die with this page view's cursor already advanced:
+                    // the most hostile partial state.
+                    return Err(CrashSignal);
                 }
-                // The trace id is keyed on the page view's *first* merge
-                // key — `user.seq` before any pixel or impression of this
-                // view consumes one — so any stage that knows the request
-                // key can re-derive the same id on any shard count.
-                let trace_id = if tracing {
-                    TraceId::from_key(probe.seed, at, uid.raw(), user.seq)
-                } else {
-                    TraceId(0)
-                };
-                let mut trace = (tracing && probe.trace.sampled(trace_id))
-                    .then(|| RequestTrace::new(trace_id, at, uid.raw(), user.seq, true));
+                let (trace_id, mut trace) =
+                    user.stream
+                        .open_trace(&trace_config, probe.seed, user.id, at);
                 let root = trace.as_mut().map(|t| t.span("page_view", None, at));
-                for &pixel in &site.pixels {
-                    if let (Some(t), Some(root)) = (trace.as_mut(), root) {
-                        t.event(root, TraceEventKind::PixelFired { pixel: pixel.raw() });
-                    }
-                    batch.events.push(ShardEvent::PixelFire {
-                        at,
-                        user: uid,
-                        user_seq: user.seq,
-                        pixel,
-                    });
-                    user.seq += 1;
-                }
-                for slot in 0..u32::from(site.ad_slots_per_view) {
-                    batch.stats.opportunities += 1;
-                    let traced = platform
-                        .decide_browse_traced_with_scratch(
-                            uid,
-                            at,
-                            budget,
-                            &self.freq,
-                            &mut user.rng,
-                            &mut self.scratch,
-                        )
-                        .expect("engine users are registered on the platform");
-                    if record {
-                        let b = traced.breakdown;
-                        eligible_hist.observe(u64::from(b.eligible));
-                        // Under indexed selection `considered` IS the
-                        // candidate-set size; under the linear scan it is
-                        // the whole inventory and `index_pruned` is zero.
-                        candidate_hist.observe(u64::from(b.considered));
-                        tally.index_candidates += u64::from(b.considered);
-                        tally.index_pruned += u64::from(b.index_pruned);
-                        tally.considered += u64::from(b.considered);
-                        tally.not_servable += u64::from(b.not_servable);
-                        tally.suspended += u64::from(b.suspended);
-                        tally.over_budget += u64::from(b.over_budget);
-                        tally.frequency_capped += u64::from(b.frequency_capped);
-                        tally.targeting_mismatch += u64::from(b.targeting_mismatch);
-                        tally.compiled_evals += u64::from(b.compiled_evals);
-                        let outcome_tag = match traced.decision.outcome {
-                            adplatform::auction::AuctionOutcome::Won { .. } => "won",
-                            adplatform::auction::AuctionOutcome::LostToBackground => {
-                                "lost_to_background"
-                            }
-                            adplatform::auction::AuctionOutcome::Unfilled => "unfilled",
-                        };
-                        flight.record(FlightEvent {
-                            at,
-                            user: uid,
-                            seq: user.fseq,
-                            trace: trace_id.0,
-                            kind: FlightKind::AuctionDecided {
-                                outcome: outcome_tag,
-                                eligible: b.eligible,
-                                frequency_capped: b.frequency_capped,
-                                over_budget: b.over_budget,
-                            },
-                        });
-                        user.fseq += 1;
-                        if b.frequency_capped > 0 {
-                            tally.cap_rejections += 1;
-                            flight.record(FlightEvent {
-                                at,
-                                user: uid,
-                                seq: user.fseq,
-                                trace: trace_id.0,
-                                kind: FlightKind::CapRejection {
-                                    ads_capped: b.frequency_capped,
-                                },
-                            });
-                            user.fseq += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            let span = t.span("decide_slot", root, at);
-                            let b = traced.breakdown;
-                            t.event(
-                                span,
-                                TraceEventKind::Slot {
-                                    slot,
-                                    considered: b.considered,
-                                    index_pruned: b.index_pruned,
-                                    not_servable: b.not_servable,
-                                    suspended: b.suspended,
-                                    over_budget: b.over_budget,
-                                    frequency_capped: b.frequency_capped,
-                                    targeting_mismatch: b.targeting_mismatch,
-                                    eligible: b.eligible,
-                                    compiled_evals: b.compiled_evals,
-                                },
-                            );
-                            // Per-candidate verdicts are re-derived (pure,
-                            // RNG-free) only for sampled requests — the
-                            // decision path above never depends on them.
-                            let verdicts = platform
-                                .candidate_verdicts(uid, budget, &self.freq)
-                                .expect("engine users are registered on the platform");
-                            for v in verdicts {
-                                t.event(
-                                    span,
-                                    TraceEventKind::Candidate {
-                                        slot,
-                                        ad: v.ad.raw(),
-                                        verdict: v.verdict,
-                                        bid_cpm_micros: v.bid_cpm.as_micros(),
-                                    },
-                                );
-                            }
-                            let (winner, clearing) = match traced.decision.outcome {
-                                adplatform::auction::AuctionOutcome::Won { ad, clearing_cpm } => {
-                                    (ad.raw(), clearing_cpm.as_micros())
-                                }
-                                _ => (0, 0),
-                            };
-                            t.event(
-                                span,
-                                TraceEventKind::Auction {
-                                    slot,
-                                    outcome: outcome_tag,
-                                    winner,
-                                    clearing_cpm_micros: clearing,
-                                    advertiser_bids: traced.auction.advertiser_bids,
-                                    background_competitors: traced.auction.background_competitors,
-                                    best_background_cpm_micros: traced
-                                        .auction
-                                        .best_background_cpm
-                                        .as_micros(),
-                                },
-                            );
-                            if let Some(p) = traced.decision.pending.as_ref() {
-                                t.event(
-                                    span,
-                                    TraceEventKind::Billed {
-                                        slot,
-                                        ad: p.ad.raw(),
-                                        price_micros: p.clearing_cpm.as_micros() / 1000,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    let decision = traced.decision;
-                    match decision.outcome {
-                        adplatform::auction::AuctionOutcome::Won { .. } => {
-                            batch.stats.won += 1;
-                            tally.won += 1;
-                            let sample = match chain {
-                                Some(t) if tally.won % DELIVERY_SAMPLE == 0 => {
-                                    let mid = Instant::now();
-                                    auction_ns += (mid - t).as_nanos() as u64;
-                                    Some(mid)
-                                }
-                                _ => None,
-                            };
-                            let pending = decision.pending.expect("a win carries an impression");
-                            // The local cap counter must advance immediately
-                            // so later views in this same tick see it; the
-                            // platform's global counter catches up at merge.
-                            self.freq.bump(pending.ad, uid);
-                            if let Some(log) = self.extensions.get_mut(&uid) {
-                                let creative = platform
-                                    .campaigns
-                                    .ad(pending.ad)
-                                    .expect("won ad exists")
-                                    .creative
-                                    .clone();
-                                log.observe(pending.ad, creative, at);
-                                if record {
-                                    tally.treads_observed += 1;
-                                    flight.record(FlightEvent {
-                                        at,
-                                        user: uid,
-                                        seq: user.fseq,
-                                        trace: trace_id.0,
-                                        kind: FlightKind::TreadObserved {
-                                            ad: pending.ad.raw(),
-                                        },
-                                    });
-                                    user.fseq += 1;
-                                }
-                            }
-                            batch.events.push(ShardEvent::Impression {
-                                at,
-                                user: uid,
-                                user_seq: user.seq,
-                                pending,
-                            });
-                            user.seq += 1;
-                            if let Some(mid) = sample {
-                                let end = Instant::now();
-                                delivery_ns += (end - mid).as_nanos() as u64 * DELIVERY_SAMPLE;
-                                chain = Some(end);
-                            }
-                        }
-                        adplatform::auction::AuctionOutcome::LostToBackground => {
-                            batch.stats.lost_to_background += 1;
-                            tally.lost_to_background += 1;
-                        }
-                        adplatform::auction::AuctionOutcome::Unfilled => {
-                            batch.stats.unfilled += 1;
-                            tally.unfilled += 1;
-                        }
-                    }
-                }
-                if let Some(t) = trace.take() {
-                    batch.traces.push(t);
-                }
+                let view_trace = trace.as_mut().zip(root).map(|(trace, root)| ViewTrace {
+                    trace,
+                    root,
+                    origin: None,
+                });
+                let view = PageView {
+                    user: user.id,
+                    site,
+                    at,
+                    trace_id,
+                };
+                self.core.page_view(
+                    platform,
+                    budget,
+                    view,
+                    &mut user.stream,
+                    &mut batch,
+                    recorder.as_mut(),
+                    view_trace,
+                );
+                batch.traces.extend(trace);
             }
             if let Some(t) = chain {
                 auction_ns += t.elapsed().as_nanos() as u64;
             }
         }
-        if record {
-            let reg = &mut batch.telemetry;
-            reg.add("engine.page_views", tally.page_views);
-            reg.add("eligibility.considered", tally.considered);
-            reg.add("eligibility.not_servable", tally.not_servable);
-            reg.add("eligibility.suspended", tally.suspended);
-            reg.add("eligibility.over_budget", tally.over_budget);
-            reg.add("eligibility.frequency_capped", tally.frequency_capped);
-            reg.add("eligibility.targeting_mismatch", tally.targeting_mismatch);
-            reg.add("auction.won", tally.won);
-            reg.add("auction.lost_to_background", tally.lost_to_background);
-            reg.add("auction.unfilled", tally.unfilled);
-            reg.add("delivery.cap_rejections", tally.cap_rejections);
-            reg.add("treads.observed", tally.treads_observed);
-            reg.add("index.candidates", tally.index_candidates);
-            reg.add("index.pruned", tally.index_pruned);
-            reg.add("targeting.compiled_evals", tally.compiled_evals);
-            reg.merge_histogram("auction.eligible_bids", &eligible_hist);
-            reg.merge_histogram("index.candidate_set_size", &candidate_hist);
-            reg.observe_ns("phase.auction_ns", auction_ns);
-            reg.observe_ns("phase.delivery_ns", delivery_ns);
-            batch.flight_dropped = flight.dropped();
-            batch.flight = flight.drain();
+        if let Some(r) = recorder {
+            r.flush(&mut batch, auction_ns);
         }
         Ok(batch)
     }
@@ -664,41 +793,13 @@ impl ShardState {
             shard: self.index,
             ..LostWork::default()
         };
-        for (ui, user) in self.users.iter_mut().enumerate() {
-            loop {
-                if user.buf_pos == user.buf.len() {
-                    if user.gen_days >= self.session.days
-                        || user.gen_days * DAY_MS >= tick_end.millis()
-                    {
-                        break;
-                    }
-                    user.buf = SessionSchedule::generate_day_for_user(
-                        user.id,
-                        &self.site_ids,
-                        &self.session,
-                        self.seed,
-                        user.gen_days,
-                    );
-                    user.buf_pos = 0;
-                    user.gen_days += 1;
-                    continue;
-                }
-                let BrowsingEvent::PageView { site, at, .. } = user.buf[user.buf_pos];
-                if at >= tick_end {
-                    break;
-                }
-                user.buf_pos += 1;
-                user.consumed += 1;
-                self.dirty[ui] = true;
+        for user in &mut self.users {
+            while let Some((site, _)) = user.next_view(&self.days, tick_end) {
                 // Unknown sites are skipped without counting, exactly as
                 // `run_tick` skips them without simulating.
-                let site = match sites.get(site) {
-                    Some(s) => s,
-                    None => continue,
-                };
-                lost.page_views += 1;
-                lost.pixel_fires += site.pixels.len() as u64;
-                lost.opportunities += u64::from(site.ad_slots_per_view);
+                if let Some(site) = sites.get(site) {
+                    lost.add_page_view(site);
+                }
             }
         }
         lost
@@ -718,8 +819,9 @@ impl ShardState {
         ShardCheckpoint {
             index: self.index as u64,
             users: self.users.iter().map(UserRuntime::cursor).collect(),
-            freq: self.freq.entries(),
+            freq: self.core.freq.entries(),
             extensions: self
+                .core
                 .extensions
                 .iter()
                 .map(|(&user, log)| ExtensionSnapshot {
@@ -740,26 +842,23 @@ impl ShardState {
     /// still reset the flags so the next delta is relative to them.
     pub fn take_dirty_cursors(&mut self) -> Vec<(u32, UserCursor)> {
         let mut out = Vec::new();
-        for (ui, user) in self.users.iter().enumerate() {
-            if self.dirty[ui] {
+        for (ui, user) in self.users.iter_mut().enumerate() {
+            if std::mem::take(&mut user.dirty) {
                 out.push((ui as u32, user.cursor()));
             }
-        }
-        for flag in &mut self.dirty {
-            *flag = false;
         }
         out
     }
 
     /// The current frequency-cap count for `(ad, user)` on this shard.
     pub fn freq_count(&self, ad: adsim_types::AdId, user: UserId) -> u32 {
-        self.freq.count(ad, user)
+        self.core.freq.count(ad, user)
     }
 
     /// The extension logs of this shard's Treads users (delta checkpoints
     /// read append-only suffixes out of them).
     pub fn extensions(&self) -> &BTreeMap<UserId, ExtensionLog> {
-        &self.extensions
+        &self.core.extensions
     }
 
     /// Restores the replayable state frozen by [`Self::export_cursors`]
@@ -800,14 +899,8 @@ impl ShardState {
             }
             let mut remaining = frozen.cursor;
             let mut window = (Vec::new(), 0usize, 0u64);
-            for day in 0..self.session.days {
-                let events = SessionSchedule::generate_day_for_user(
-                    user.id,
-                    &self.site_ids,
-                    &self.session,
-                    self.seed,
-                    day,
-                );
+            for day in 0..self.days.session.days {
+                let events = self.days.day(user.id, day);
                 if remaining < events.len() as u64 {
                     window = (events, remaining as usize, day + 1);
                     remaining = 0;
@@ -824,11 +917,12 @@ impl ShardState {
             }
             windows.push(window);
         }
-        if cp.extensions.len() != self.extensions.len()
+        let extensions = &mut self.core.extensions;
+        if cp.extensions.len() != extensions.len()
             || cp
                 .extensions
                 .iter()
-                .any(|e| !self.extensions.contains_key(&e.user))
+                .any(|e| !extensions.contains_key(&e.user))
         {
             return Err(adsim_types::Error::invalid(format!(
                 "checkpoint extension-user set does not match host shard {}",
@@ -838,19 +932,19 @@ impl ShardState {
         for ((user, frozen), (buf, buf_pos, gen_days)) in
             self.users.iter_mut().zip(&cp.users).zip(windows)
         {
-            user.rng = StdRng::restore(frozen.rng);
+            user.stream = UserStream {
+                rng: StdRng::restore(frozen.rng),
+                seq: frozen.seq,
+                fseq: frozen.fseq,
+            };
             user.buf = buf;
             user.buf_pos = buf_pos;
             user.gen_days = gen_days;
             user.consumed = frozen.cursor;
-            user.seq = frozen.seq;
-            user.fseq = frozen.fseq;
+            user.dirty = false;
         }
-        for flag in &mut self.dirty {
-            *flag = false;
-        }
-        self.freq.restore_entries(&cp.freq);
-        self.extensions = cp
+        self.core.freq.restore_entries(&cp.freq);
+        *extensions = cp
             .extensions
             .iter()
             .map(|e| {
@@ -865,6 +959,6 @@ impl ShardState {
 
     /// Consumes the shard, yielding its users' extension logs.
     pub fn into_extensions(self) -> BTreeMap<UserId, ExtensionLog> {
-        self.extensions
+        self.core.into_extensions()
     }
 }

@@ -376,6 +376,16 @@ pub struct LostWork {
     pub opportunities: u64,
 }
 
+impl LostWork {
+    /// Counts one abandoned page view of `site`: the view, every pixel it
+    /// would have fired, and every ad slot it would have auctioned.
+    pub fn add_page_view(&mut self, site: &websim::Site) {
+        self.page_views += 1;
+        self.pixel_fires += site.pixels.len() as u64;
+        self.opportunities += u64::from(site.ad_slots_per_view);
+    }
+}
+
 /// What the supervisor observed and did about injected faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {

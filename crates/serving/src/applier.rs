@@ -84,19 +84,19 @@ pub(crate) fn run_applier(
     'ticks: loop {
         // Barrier collect: exactly one batch per shard per tick. The
         // channel disconnecting (all workers exited) ends the run.
-        let mut batches: Vec<TickBatch> = Vec::with_capacity(shards);
+        let mut ticks: Vec<TickBatch> = Vec::with_capacity(shards);
         for _ in 0..shards {
             match batch_rx.recv() {
-                Ok(batch) => batches.push(batch),
+                Ok(tick) => ticks.push(tick),
                 Err(_) => break 'ticks,
             }
         }
         // Shard-index order is the canonical per-tick fold order, exactly
         // as in the batch supervisor.
-        batches.sort_by_key(|b| b.shard);
-        let tick_end = batches.first().map_or(0, |b| b.tick_end);
+        ticks.sort_by_key(|t| t.batch.shard);
+        let tick_end = ticks.first().map_or(0, |t| t.tick_end);
         debug_assert!(
-            batches.iter().all(|b| b.tick_end == tick_end),
+            ticks.iter().all(|t| t.tick_end == tick_end),
             "tick-close barrier collected batches from different ticks"
         );
 
@@ -107,18 +107,19 @@ pub(crate) fn run_applier(
         // barrier here lets session generation and admission for tick t+1
         // overlap with the accounting of tick t (the serving twin of the
         // batch engine's pipelined tick).
-        let events: Vec<_> = batches
+        let events: Vec<_> = ticks
             .iter_mut()
-            .map(|b| std::mem::take(&mut b.events))
+            .map(|t| std::mem::take(&mut t.batch.events))
             .collect();
         let (snapshot, conflicts) = {
             let mut guard = platform.write();
             let p: &mut Platform = &mut guard;
-            for batch in &batches {
-                p.stats.opportunities += batch.stats.opportunities;
-                p.stats.won += batch.stats.won;
-                p.stats.lost_to_background += batch.stats.lost_to_background;
-                p.stats.unfilled += batch.stats.unfilled;
+            for tick in &ticks {
+                let stats = tick.batch.stats;
+                p.stats.opportunities += stats.opportunities;
+                p.stats.won += stats.won;
+                p.stats.lost_to_background += stats.lost_to_background;
+                p.stats.unfilled += stats.unfilled;
             }
             // Lossy merge: a duplicate key can only mean a replay bug, but
             // the front end must degrade (first-writer-wins) and keep
@@ -147,34 +148,35 @@ pub(crate) fn run_applier(
         let mut tick_traces: Vec<RequestTrace> =
             record_merge_conflicts(&conflicts, seed, tracing, telemetry);
         let mut tick_keys = Vec::new();
-        for batch in &mut batches {
-            tick_traces.append(&mut batch.traces);
-            tick_keys.append(&mut batch.trace_keys);
-            if let Some((worst_ns, trace_id)) = batch.exemplar.take() {
+        for tick in &mut ticks {
+            let stats = tick.batch.stats;
+            tick_traces.append(&mut tick.batch.traces);
+            tick_keys.append(&mut tick.trace_keys);
+            if let Some((worst_ns, trace_id)) = tick.exemplar.take() {
                 telemetry.exemplar("serving.request_latency_ns", worst_ns, trace_id);
             }
-            out.requests += batch.requests;
-            out.shed += batch.shed;
-            out.shed_failure += batch.shed_failure;
-            out.shed_unknown_user += batch.shed_unknown_user;
-            out.page_views += batch.page_views;
-            out.opportunities += batch.stats.opportunities;
-            out.faults.injected += batch.injected;
-            out.faults.recovered += batch.recovered;
-            out.faults.unrecoverable += batch.unrecoverable;
-            out.faults.lost.extend(batch.lost.iter().cloned());
-            tick_latency.merge(&batch.latency);
-            telemetry.count("engine.page_views", batch.page_views);
-            telemetry.count("serving.requests", batch.requests);
-            telemetry.count("serving.shed", batch.shed);
-            telemetry.count("auction.won", batch.stats.won);
-            telemetry.count("auction.lost_to_background", batch.stats.lost_to_background);
-            telemetry.count("auction.unfilled", batch.stats.unfilled);
-            telemetry.count("faults.injected", batch.injected);
-            telemetry.count("faults.recovered", batch.recovered);
-            telemetry.count("faults.unrecoverable", batch.unrecoverable);
-            if batch.batch_sizes.count() > 0 {
-                reg.merge_histogram("serving.batch_size", &batch.batch_sizes);
+            out.requests += tick.requests;
+            out.shed += tick.shed;
+            out.shed_failure += tick.shed_failure;
+            out.shed_unknown_user += tick.shed_unknown_user;
+            out.page_views += tick.batch.page_views;
+            out.opportunities += stats.opportunities;
+            out.faults.injected += tick.faults.injected;
+            out.faults.recovered += tick.faults.recovered;
+            out.faults.unrecoverable += tick.faults.unrecoverable;
+            out.faults.lost.append(&mut tick.faults.lost);
+            tick_latency.merge(&tick.latency);
+            telemetry.count("engine.page_views", tick.batch.page_views);
+            telemetry.count("serving.requests", tick.requests);
+            telemetry.count("serving.shed", tick.shed);
+            telemetry.count("auction.won", stats.won);
+            telemetry.count("auction.lost_to_background", stats.lost_to_background);
+            telemetry.count("auction.unfilled", stats.unfilled);
+            telemetry.count("faults.injected", tick.faults.injected);
+            telemetry.count("faults.recovered", tick.faults.recovered);
+            telemetry.count("faults.unrecoverable", tick.faults.unrecoverable);
+            if tick.batch_sizes.count() > 0 {
+                reg.merge_histogram("serving.batch_size", &tick.batch_sizes);
             }
         }
         if tick_latency.count() > 0 {

@@ -23,7 +23,7 @@ use crate::applier::run_applier;
 use crate::config::ServingConfig;
 use crate::report::{ServingOutcome, ServingReport};
 use crate::request::{OpportunityRequest, RejectReason, Response, Ticket};
-use crate::worker::{run_worker, Envelope, WorkerContext, WorkerMsg, WorkerResult};
+use crate::worker::{run_worker, Envelope, WorkerContext, WorkerMsg};
 
 /// The client-facing handle of a serving run.
 ///
@@ -362,7 +362,7 @@ impl ServingEngine {
         let lock_ref = &lock;
         let slo_ref = &mut slo;
         let telemetry_ref = &mut *telemetry;
-        let (applier_out, worker_results, client_out) = crossbeam::scope(|s| {
+        let (applier_out, worker_logs, client_out) = crossbeam::scope(|s| {
             let worker_handles: Vec<_> = worker_rxs
                 .into_iter()
                 .zip(resume_rxs)
@@ -408,12 +408,12 @@ impl ServingEngine {
             });
             let client_out = client(&frontend);
             frontend.finish();
-            let worker_results: Vec<WorkerResult> = worker_handles
+            let worker_logs: Vec<_> = worker_handles
                 .into_iter()
                 .map(|h| h.join().expect("serving worker panicked"))
                 .collect();
             let applier_out = applier_handle.join().expect("serving applier panicked");
-            (applier_out, worker_results, client_out)
+            (applier_out, worker_logs, client_out)
         })
         .expect("serving scope");
 
@@ -437,8 +437,8 @@ impl ServingEngine {
         }
 
         let mut extensions = BTreeMap::new();
-        for result in worker_results {
-            extensions.extend(result.extensions);
+        for logs in worker_logs {
+            extensions.extend(logs);
         }
         let mut faults = applier_out.faults;
         faults.injected += front.shed_brownout;

@@ -21,10 +21,11 @@
 //! ## Determinism
 //!
 //! Requests carry *simulated* timestamps and map onto the same tick grid
-//! the batch engine uses. Within a tick every decide reads the tick's
-//! frozen budget snapshot plus user-owned state (per-user RNG substream,
-//! per-`(ad, user)` frequency counters bumped immediately in the owning
-//! shard worker), so micro-batch composition — how `max_batch` and
+//! the batch engine uses. Each request is decided by the batch engine's
+//! own page-view step ([`treads_engine::ShardCore::page_view`]), which
+//! reads the tick's frozen budget snapshot plus user-owned state
+//! (per-user RNG substream, per-`(ad, user)` frequency counters bumped
+//! immediately in the owning shard worker), so micro-batch composition — how `max_batch` and
 //! `max_delay` happen to chop the request stream — can change *latency*
 //! but never *outcomes*. At tick close the workers' event batches merge in
 //! the canonical `(at, user, user_seq)` order and fold through

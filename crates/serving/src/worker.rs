@@ -1,32 +1,29 @@
 //! Shard workers: per-request decide against frozen tick state.
 //!
-//! A worker owns exactly the state its batch-engine twin
-//! ([`treads_engine::ShardState`]) owns — its users' auction RNGs and
-//! sequence counters, its frequency-cap counters, its extension logs — and
-//! replicates the per-page-view logic of `ShardState::run_tick` one
-//! request at a time: pixels first (each advancing the user's `seq`), then
-//! one decide per ad slot against the tick's frozen budget snapshot, with
-//! wins bumping the local frequency cap immediately and queueing an
-//! `Impression` event for the tick-close fold. Because the replicated
-//! logic and the owned state are identical, a serving tick's event batch
-//! is byte-identical to the batch engine's for the same opportunities.
+//! A worker owns the same state as its batch-engine counterpart
+//! ([`treads_engine::ShardState`]) — one [`UserStream`] per user and a
+//! [`ShardCore`] (frequency caps, extension logs) — and decides each
+//! request by calling the engine's page-view step,
+//! [`ShardCore::page_view`], the very function the batch tick calls. The
+//! worker adds only what serving alone does: rejecting unknown users,
+//! answering unknown sites with an empty page, rooting the trace at a
+//! `request` span with its admission and batch-wait, micro-batching,
+//! crash rollback, and the reply. A serving tick's event batch is
+//! therefore byte-identical to the batch engine's for the same
+//! opportunities by construction.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adplatform::auction::AuctionOutcome;
 use adplatform::billing::BudgetSnapshot;
-use adplatform::delivery::{DeliveryScratch, DeliveryStats, FrequencyCaps};
 use adplatform::Platform;
-use adsim_types::rng::substream;
 use adsim_types::{SimTime, UserId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use treads_engine::ShardEvent;
-use treads_resilience::{FaultPlan, LostWork};
+use treads_engine::{PageView, ShardBatch, ShardCore, ShardEvent, UserStream, ViewTrace};
+use treads_resilience::{FaultPlan, FaultReport, LostWork};
 use treads_telemetry::{Histogram, RequestTrace, TraceConfig, TraceEventKind, TraceId, SHED_SEQ};
 use treads_workload::ShardPlan;
 use websim::{ExtensionLog, SiteRegistry};
@@ -61,15 +58,13 @@ pub(crate) struct Envelope {
 }
 
 /// Everything one shard accumulated over one tick, handed to the applier
-/// at the tick-close barrier. The serving twin of
-/// [`treads_engine::ShardBatch`].
+/// at the tick-close barrier: the engine's [`ShardBatch`] plus what only
+/// serving counts.
 pub(crate) struct TickBatch {
-    pub shard: usize,
+    /// Events, delivery stats, page views and traces, exactly as the batch
+    /// engine's shard tick produces them.
+    pub batch: ShardBatch,
     pub tick_end: u64,
-    /// Globally-visible effects, in shard-local production order.
-    pub events: Vec<ShardEvent>,
-    pub stats: DeliveryStats,
-    pub page_views: u64,
     /// Requests this worker answered this tick (served + shed).
     pub requests: u64,
     pub shed: u64,
@@ -79,13 +74,8 @@ pub(crate) struct TickBatch {
     pub latency: Histogram,
     /// Micro-batch close-out sizes.
     pub batch_sizes: Histogram,
-    pub injected: u64,
-    pub recovered: u64,
-    pub unrecoverable: u64,
-    pub lost: Vec<LostWork>,
-    /// Causal traces built this tick, in shard-local production order
-    /// (the applier re-sorts by request key before retention).
-    pub traces: Vec<RequestTrace>,
+    /// Injected crashes this tick, and the work they abandoned.
+    pub faults: FaultReport,
     /// Canonical identity of every page view served this tick while
     /// tracing is on — the raw material for materializing tail traces of
     /// a whole SLO-breaching window without paying per-request
@@ -94,6 +84,25 @@ pub(crate) struct TickBatch {
     /// The tick's worst request latency and its trace id — the applier's
     /// exemplar candidate for the request-latency histogram.
     pub exemplar: Option<(u64, TraceId)>,
+}
+
+impl TickBatch {
+    /// An empty accumulator for `shard`'s next tick.
+    fn new(shard: usize) -> Self {
+        Self {
+            batch: ShardBatch::new(shard),
+            tick_end: 0,
+            requests: 0,
+            shed: 0,
+            shed_failure: 0,
+            shed_unknown_user: 0,
+            latency: Histogram::latency_ns(),
+            batch_sizes: Histogram::small_values(),
+            faults: FaultReport::default(),
+            trace_keys: Vec::new(),
+            exemplar: None,
+        }
+    }
 }
 
 /// The canonical `(at, user, user_seq)` identity of one page view, plus
@@ -106,75 +115,6 @@ pub(crate) struct TraceKey {
     pub at: SimTime,
     pub user: u64,
     pub user_seq: u64,
-}
-
-/// Tick-local accumulator, reset at every tick-close flush.
-struct TickAcc {
-    events: Vec<ShardEvent>,
-    stats: DeliveryStats,
-    page_views: u64,
-    requests: u64,
-    shed: u64,
-    shed_failure: u64,
-    shed_unknown_user: u64,
-    latency: Histogram,
-    batch_sizes: Histogram,
-    injected: u64,
-    recovered: u64,
-    unrecoverable: u64,
-    lost: Option<LostWork>,
-    traces: Vec<RequestTrace>,
-    trace_keys: Vec<TraceKey>,
-    exemplar: Option<(u64, TraceId)>,
-}
-
-impl TickAcc {
-    fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            stats: DeliveryStats::default(),
-            page_views: 0,
-            requests: 0,
-            shed: 0,
-            shed_failure: 0,
-            shed_unknown_user: 0,
-            latency: Histogram::latency_ns(),
-            batch_sizes: Histogram::small_values(),
-            injected: 0,
-            recovered: 0,
-            unrecoverable: 0,
-            lost: None,
-            traces: Vec::new(),
-            trace_keys: Vec::new(),
-            exemplar: None,
-        }
-    }
-}
-
-/// One user's serving state: the same `(rng, seq)` pair its batch-engine
-/// runtime owns, created lazily on the user's first request.
-#[derive(Clone)]
-struct UserServe {
-    /// Auction randomness: substream `engine-user-{id}` of the master
-    /// seed — the identical stream the batch engine draws from.
-    rng: StdRng,
-    /// Per-user event counter; becomes the `user_seq` merge-key component.
-    seq: u64,
-}
-
-/// The user-owned state a crash attempt may half-mutate, frozen at
-/// micro-batch start so failing attempts can be rolled back byte-exactly.
-struct BatchSnapshot {
-    users: BTreeMap<UserId, UserServe>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    events_len: usize,
-    stats: DeliveryStats,
-    page_views: u64,
-    /// Traces, like events, are truncated back to the snapshot length
-    /// when a crash attempt rolls back.
-    traces_len: usize,
-    trace_keys_len: usize,
 }
 
 /// Everything a worker thread needs, bundled for the spawn call.
@@ -204,13 +144,9 @@ pub(crate) struct WorkerContext<'a, 'p> {
     pub trace: TraceConfig,
 }
 
-/// What a worker thread hands back when it exits.
-pub(crate) struct WorkerResult {
-    pub extensions: BTreeMap<UserId, ExtensionLog>,
-}
-
-/// Runs one shard worker to completion (entry point for the spawn).
-pub(crate) fn run_worker(ctx: WorkerContext<'_, '_>) -> WorkerResult {
+/// Runs one shard worker to completion (entry point for the spawn),
+/// handing back its users' extension logs.
+pub(crate) fn run_worker(ctx: WorkerContext<'_, '_>) -> BTreeMap<UserId, ExtensionLog> {
     Worker::new(ctx).run()
 }
 
@@ -228,10 +164,8 @@ struct Worker<'a, 'p> {
     depth: Arc<AtomicU64>,
     budget: Arc<BudgetSnapshot>,
     batcher: MicroBatcher<Envelope>,
-    users: BTreeMap<UserId, UserServe>,
-    freq: FrequencyCaps,
-    extensions: BTreeMap<UserId, ExtensionLog>,
-    scratch: DeliveryScratch,
+    users: BTreeMap<UserId, UserStream>,
+    core: ShardCore,
     trace: TraceConfig,
     tick_index: u64,
     /// Set when this tick's crash exhausted the retry budget: every
@@ -240,7 +174,7 @@ struct Worker<'a, 'p> {
     /// Failing attempts the fault plan schedules for this tick, consumed
     /// by the first micro-batch that executes.
     crash_pending: Option<u32>,
-    acc: TickAcc,
+    acc: TickBatch,
 }
 
 impl<'a, 'p> Worker<'a, 'p> {
@@ -248,16 +182,12 @@ impl<'a, 'p> Worker<'a, 'p> {
         // Every extension user this shard owns gets a log up front — even
         // one who never browses — mirroring `ShardState::new`, so outcome
         // extension maps compare equal against the batch engine's.
-        let extensions = ctx
+        let extension_users = ctx
             .extension_users
             .iter()
-            .filter(|u| ShardPlan::shard_index(**u, ctx.shards) == ctx.shard)
-            .map(|&u| (u, ExtensionLog::for_user(u)))
-            .collect();
-        let frequency_cap = {
-            let guard = ctx.platform.read();
-            guard.config.frequency_cap
-        };
+            .copied()
+            .filter(|&u| ShardPlan::shard_index(u, ctx.shards) == ctx.shard);
+        let frequency_cap = ctx.platform.read().config.frequency_cap;
         let mut worker = Self {
             shard: ctx.shard,
             seed: ctx.seed,
@@ -273,14 +203,12 @@ impl<'a, 'p> Worker<'a, 'p> {
             budget: ctx.budget,
             batcher: MicroBatcher::new(ctx.max_batch, ctx.max_delay),
             users: BTreeMap::new(),
-            freq: FrequencyCaps::new(frequency_cap),
-            extensions,
-            scratch: DeliveryScratch::new(),
+            core: ShardCore::new(frequency_cap, extension_users),
             trace: ctx.trace,
             tick_index: 0,
             tick_degraded: false,
             crash_pending: None,
-            acc: TickAcc::new(),
+            acc: TickBatch::new(ctx.shard),
         };
         worker.crash_pending = worker.scheduled_crash();
         worker
@@ -296,7 +224,7 @@ impl<'a, 'p> Worker<'a, 'p> {
             .map(|(_, attempts)| attempts)
     }
 
-    fn run(mut self) -> WorkerResult {
+    fn run(mut self) -> BTreeMap<UserId, ExtensionLog> {
         loop {
             let msg = if self.batcher.is_empty() {
                 match self.rx.recv() {
@@ -349,9 +277,7 @@ impl<'a, 'p> Worker<'a, 'p> {
                 WorkerMsg::Shutdown => break,
             }
         }
-        WorkerResult {
-            extensions: self.extensions,
-        }
+        self.core.into_extensions()
     }
 
     /// Executes one closed micro-batch, injecting any crash the fault plan
@@ -372,17 +298,19 @@ impl<'a, 'p> Worker<'a, 'p> {
             if attempts > self.max_retries {
                 // Attempt 0 and every granted retry die: degrade the rest
                 // of the tick to load shedding instead of panicking.
-                self.acc.injected += u64::from(self.max_retries) + 1;
-                self.acc.unrecoverable += 1;
+                self.acc.faults.injected += u64::from(self.max_retries) + 1;
+                self.acc.faults.unrecoverable += 1;
                 self.tick_degraded = true;
                 self.shed_batch(batch);
                 return;
             }
             // Recoverable: each failing attempt executes a prefix of the
             // batch against real state — dying one request deeper each
-            // time, the most hostile partial mutation — and is rolled
-            // back to the batch-start snapshot before the next try.
-            let snapshot = self.snapshot();
+            // time, the most hostile partial mutation — into a throwaway
+            // accumulator, and the users and core it half-mutated are
+            // rolled back to their batch-start clones before the next try.
+            let (users, core) = (self.users.clone(), self.core.clone());
+            let acc = std::mem::replace(&mut self.acc, TickBatch::new(self.shard));
             {
                 let guard = self.platform.read();
                 let platform: &Platform = &guard;
@@ -391,11 +319,13 @@ impl<'a, 'p> Worker<'a, 'p> {
                     for env in &batch[..prefix] {
                         self.serve_one(platform, env, false);
                     }
-                    self.restore(&snapshot);
-                    self.acc.injected += 1;
+                    self.users = users.clone();
+                    self.core = core.clone();
                 }
             }
-            self.acc.recovered += 1;
+            self.acc = acc;
+            self.acc.faults.injected += u64::from(attempts);
+            self.acc.faults.recovered += 1;
         }
         let guard = self.platform.read();
         let platform: &Platform = &guard;
@@ -410,76 +340,35 @@ impl<'a, 'p> Worker<'a, 'p> {
     /// attempt will be rolled back wholesale.
     fn serve_one(&mut self, platform: &Platform, env: &Envelope, deliver: bool) {
         let req = env.req;
-        let tracing = self.trace.enabled;
         // Unknown users are rejected before any state moves (the batch
         // engine never generates them; a serving client can).
         if platform.profiles.get(req.user).is_err() {
             if deliver {
-                self.acc.shed += 1;
-                self.acc.shed_unknown_user += 1;
-                let mut trace_id = TraceId(0);
-                if tracing {
-                    // The user never earned a sequence counter, so the
-                    // shed stand-in seq keys the (always-retained) trace.
-                    trace_id = TraceId::from_key(self.seed, req.at, req.user.raw(), SHED_SEQ);
-                    let mut t = RequestTrace::tail(trace_id, req.at, req.user.raw(), SHED_SEQ);
-                    let span = t.span("request", None, req.at);
-                    t.event(
-                        span,
-                        TraceEventKind::Shed {
-                            reason: "unknown_user",
-                        },
-                    );
-                    t.set_span_wall(span, 0, env.accepted.elapsed().as_nanos() as u64);
-                    self.acc.traces.push(t);
-                }
-                self.reply(
-                    env,
-                    Response::Rejected {
-                        reason: RejectReason::UnknownUser,
-                        retry_after_ms: 0,
-                    },
-                    trace_id,
-                );
+                self.shed(env, RejectReason::UnknownUser);
             }
             return;
         }
         // Unknown sites are served an empty page without simulating —
         // `ShardState::run_tick` skips them without counting, and the
         // event batches must agree.
-        let site = match self.sites.get(req.site) {
-            Some(site) => site,
-            None => {
-                if deliver {
-                    self.reply(
-                        env,
-                        Response::Served(ServedPage {
-                            at: req.at,
-                            ads: Vec::new(),
-                            slots: 0,
-                        }),
-                        TraceId(0),
-                    );
-                }
-                return;
+        let Some(site) = self.sites.get(req.site) else {
+            if deliver {
+                let empty = ServedPage {
+                    at: req.at,
+                    ads: Vec::new(),
+                    slots: 0,
+                };
+                self.reply(env, Response::Served(empty), TraceId(0));
             }
+            return;
         };
-        self.acc.page_views += 1;
         let seed = self.seed;
-        let user = self.users.entry(req.user).or_insert_with(|| UserServe {
-            rng: substream(seed, &format!("engine-user-{}", req.user.raw())),
-            seq: 0,
-        });
-        // The trace id is keyed on the page view's first merge key —
-        // `user.seq` before pixels consume any — the identical derivation
-        // the batch engine's shard uses, so ids are shard-count-invariant
-        // and path-invariant (batch vs serving).
-        let trace_id = if tracing {
-            TraceId::from_key(seed, req.at, req.user.raw(), user.seq)
-        } else {
-            TraceId(0)
-        };
-        if tracing {
+        let user = self
+            .users
+            .entry(req.user)
+            .or_insert_with(|| UserStream::new(seed, req.user));
+        let (trace_id, mut trace) = user.open_trace(&self.trace, seed, req.user, req.at);
+        if self.trace.enabled {
             // Every request leaves its canonical key behind (allocation
             // -free) so the applier can materialize tail traces for the
             // whole window if this tick breaches the SLO. Full span/event
@@ -491,9 +380,6 @@ impl<'a, 'p> Worker<'a, 'p> {
                 user_seq: user.seq,
             });
         }
-        let sampled = tracing && self.trace.sampled(trace_id);
-        let mut trace =
-            sampled.then(|| RequestTrace::new(trace_id, req.at, req.user.raw(), user.seq, true));
         let root = trace.as_mut().map(|t| {
             let root = t.span("request", None, req.at);
             t.event(
@@ -506,143 +392,39 @@ impl<'a, 'p> Worker<'a, 'p> {
             t.set_span_wall(wait, 0, env.accepted.elapsed().as_nanos() as u64);
             root
         });
-        for &pixel in &site.pixels {
-            if let (Some(t), Some(root)) = (trace.as_mut(), root) {
-                t.event(root, TraceEventKind::PixelFired { pixel: pixel.raw() });
-            }
-            self.acc.events.push(ShardEvent::PixelFire {
-                at: req.at,
-                user: req.user,
-                user_seq: user.seq,
-                pixel,
-            });
-            user.seq += 1;
-        }
-        let mut ads = Vec::with_capacity(usize::from(site.ad_slots_per_view));
-        for slot in 0..u32::from(site.ad_slots_per_view) {
-            self.acc.stats.opportunities += 1;
-            let decide_start = trace
-                .is_some()
-                .then(|| env.accepted.elapsed().as_nanos() as u64);
-            let traced = platform
-                .decide_browse_traced_with_scratch(
-                    req.user,
-                    req.at,
-                    self.budget.as_ref(),
-                    &self.freq,
-                    &mut user.rng,
-                    &mut self.scratch,
-                )
-                .expect("user profile was checked above");
-            if let Some(t) = trace.as_mut() {
-                let span = t.span("decide_slot", root, req.at);
-                if let Some(start) = decide_start {
-                    let end = env.accepted.elapsed().as_nanos() as u64;
-                    t.set_span_wall(span, start, end.saturating_sub(start));
-                }
-                let b = traced.breakdown;
-                t.event(
-                    span,
-                    TraceEventKind::Slot {
-                        slot,
-                        considered: b.considered,
-                        index_pruned: b.index_pruned,
-                        not_servable: b.not_servable,
-                        suspended: b.suspended,
-                        over_budget: b.over_budget,
-                        frequency_capped: b.frequency_capped,
-                        targeting_mismatch: b.targeting_mismatch,
-                        eligible: b.eligible,
-                        compiled_evals: b.compiled_evals,
-                    },
-                );
-                // Per-candidate verdicts are re-derived (pure, RNG-free)
-                // only for sampled requests, against the same pre-bump
-                // frequency state the decide saw.
-                let verdicts = platform
-                    .candidate_verdicts(req.user, self.budget.as_ref(), &self.freq)
-                    .expect("user profile was checked above");
-                for v in verdicts {
-                    t.event(
-                        span,
-                        TraceEventKind::Candidate {
-                            slot,
-                            ad: v.ad.raw(),
-                            verdict: v.verdict,
-                            bid_cpm_micros: v.bid_cpm.as_micros(),
-                        },
-                    );
-                }
-                let (outcome_tag, winner, clearing) = match traced.decision.outcome {
-                    AuctionOutcome::Won { ad, clearing_cpm } => {
-                        ("won", ad.raw(), clearing_cpm.as_micros())
-                    }
-                    AuctionOutcome::LostToBackground => ("lost_to_background", 0, 0),
-                    AuctionOutcome::Unfilled => ("unfilled", 0, 0),
-                };
-                t.event(
-                    span,
-                    TraceEventKind::Auction {
-                        slot,
-                        outcome: outcome_tag,
-                        winner,
-                        clearing_cpm_micros: clearing,
-                        advertiser_bids: traced.auction.advertiser_bids,
-                        background_competitors: traced.auction.background_competitors,
-                        best_background_cpm_micros: traced.auction.best_background_cpm.as_micros(),
-                    },
-                );
-                if let Some(p) = traced.decision.pending.as_ref() {
-                    t.event(
-                        span,
-                        TraceEventKind::Billed {
-                            slot,
-                            ad: p.ad.raw(),
-                            price_micros: p.clearing_cpm.as_micros() / 1000,
-                        },
-                    );
-                }
-            }
-            match traced.decision.outcome {
-                AuctionOutcome::Won { .. } => {
-                    self.acc.stats.won += 1;
-                    let pending = traced
-                        .decision
-                        .pending
-                        .expect("a win carries an impression");
-                    // The local cap counter advances immediately so later
-                    // requests this tick see it; the platform's global
-                    // counter catches up at the tick-close fold.
-                    self.freq.bump(pending.ad, req.user);
-                    if let Some(log) = self.extensions.get_mut(&req.user) {
-                        let creative = platform
-                            .campaigns
-                            .ad(pending.ad)
-                            .expect("won ad exists")
-                            .creative
-                            .clone();
-                        log.observe(pending.ad, creative, req.at);
-                    }
-                    self.acc.events.push(ShardEvent::Impression {
-                        at: req.at,
-                        user: req.user,
-                        user_seq: user.seq,
-                        pending,
-                    });
-                    user.seq += 1;
-                    ads.push(pending.ad);
-                }
-                AuctionOutcome::LostToBackground => self.acc.stats.lost_to_background += 1,
-                AuctionOutcome::Unfilled => self.acc.stats.unfilled += 1,
-            }
-        }
-        if let Some(mut t) = trace.take() {
-            if let Some(root) = root {
-                t.set_span_wall(root, 0, env.accepted.elapsed().as_nanos() as u64);
-            }
-            self.acc.traces.push(t);
+        let view_trace = trace.as_mut().zip(root).map(|(trace, root)| ViewTrace {
+            trace,
+            root,
+            origin: Some(env.accepted),
+        });
+        let view = PageView {
+            user: req.user,
+            site,
+            at: req.at,
+            trace_id,
+        };
+        let first_event = self.acc.batch.events.len();
+        self.core.page_view(
+            platform,
+            self.budget.as_ref(),
+            view,
+            user,
+            &mut self.acc.batch,
+            None,
+            view_trace,
+        );
+        if let (Some(mut t), Some(root)) = (trace, root) {
+            t.set_span_wall(root, 0, env.accepted.elapsed().as_nanos() as u64);
+            self.acc.batch.traces.push(t);
         }
         if deliver {
+            let ads = self.acc.batch.events[first_event..]
+                .iter()
+                .filter_map(|e| match e {
+                    ShardEvent::Impression { pending, .. } => Some(pending.ad),
+                    ShardEvent::PixelFire { .. } => None,
+                })
+                .collect();
             self.reply(
                 env,
                 Response::Served(ServedPage {
@@ -659,51 +441,56 @@ impl<'a, 'p> Worker<'a, 'p> {
     /// work exactly as the batch supervisor's `skip_tick` does.
     fn shed_batch(&mut self, batch: &[Envelope]) {
         for env in batch {
-            self.acc.shed += 1;
-            self.acc.shed_failure += 1;
             if let Some(site) = self.sites.get(env.req.site) {
-                let lost = self.acc.lost.get_or_insert_with(|| LostWork {
-                    tick: self.tick_index,
-                    shard: self.shard,
-                    ..LostWork::default()
-                });
-                lost.page_views += 1;
-                lost.pixel_fires += site.pixels.len() as u64;
-                lost.opportunities += u64::from(site.ad_slots_per_view);
+                // One entry per degraded shard-tick, as in the batch engine.
+                let lost = &mut self.acc.faults.lost;
+                if lost.is_empty() {
+                    lost.push(LostWork {
+                        tick: self.tick_index,
+                        shard: self.shard,
+                        ..LostWork::default()
+                    });
+                }
+                lost[0].add_page_view(site);
             }
-            let mut trace_id = TraceId(0);
-            if self.trace.enabled {
-                // Fault-degraded requests never reach the decide path, so
-                // the user's sequence counter is unknowable here; the shed
-                // stand-in seq keys the (always-retained) trace.
-                trace_id = TraceId::from_key(self.seed, env.req.at, env.req.user.raw(), SHED_SEQ);
-                let mut t = RequestTrace::tail(trace_id, env.req.at, env.req.user.raw(), SHED_SEQ);
-                let span = t.span("request", None, env.req.at);
-                t.event(
-                    span,
-                    TraceEventKind::Shed {
-                        reason: "shard_failure",
-                    },
-                );
-                t.event(
-                    span,
-                    TraceEventKind::FaultDegraded {
-                        what: "shard_tick_degraded",
-                        detail: self.tick_index,
-                    },
-                );
-                t.set_span_wall(span, 0, env.accepted.elapsed().as_nanos() as u64);
-                self.acc.traces.push(t);
-            }
-            self.reply(
-                env,
-                Response::Rejected {
-                    reason: RejectReason::ShardFailure,
-                    retry_after_ms: self.retry_after_ms,
-                },
-                trace_id,
-            );
+            self.shed(env, RejectReason::ShardFailure);
         }
+    }
+
+    /// Rejects one request that never reaches the decide path: an unknown
+    /// user, or any request of a fault-degraded tick. With tracing on it
+    /// leaves an always-retained tail trace, keyed by the shed stand-in
+    /// seq because the user's sequence counter is unknowable here.
+    fn shed(&mut self, env: &Envelope, reason: RejectReason) {
+        let req = env.req;
+        self.acc.shed += 1;
+        let degraded = reason == RejectReason::ShardFailure;
+        let (label, retry_after_ms) = if degraded {
+            self.acc.shed_failure += 1;
+            ("shard_failure", self.retry_after_ms)
+        } else {
+            self.acc.shed_unknown_user += 1;
+            ("unknown_user", 0)
+        };
+        let mut trace_id = TraceId(0);
+        if self.trace.enabled {
+            trace_id = TraceId::from_key(self.seed, req.at, req.user.raw(), SHED_SEQ);
+            let mut t = RequestTrace::tail(trace_id, req.at, req.user.raw(), SHED_SEQ);
+            let span = t.span("request", None, req.at);
+            t.event(span, TraceEventKind::Shed { reason: label });
+            if degraded {
+                let detail = self.tick_index;
+                let what = "shard_tick_degraded";
+                t.event(span, TraceEventKind::FaultDegraded { what, detail });
+            }
+            t.set_span_wall(span, 0, env.accepted.elapsed().as_nanos() as u64);
+            self.acc.batch.traces.push(t);
+        }
+        let response = Response::Rejected {
+            reason,
+            retry_after_ms,
+        };
+        self.reply(env, response, trace_id);
     }
 
     /// Sends the response, observing end-to-end latency and releasing the
@@ -719,51 +506,9 @@ impl<'a, 'p> Worker<'a, 'p> {
         self.depth.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn snapshot(&self) -> BatchSnapshot {
-        BatchSnapshot {
-            users: self.users.clone(),
-            freq: self.freq.clone(),
-            extensions: self.extensions.clone(),
-            events_len: self.acc.events.len(),
-            stats: self.acc.stats,
-            page_views: self.acc.page_views,
-            traces_len: self.acc.traces.len(),
-            trace_keys_len: self.acc.trace_keys.len(),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &BatchSnapshot) {
-        self.users = snapshot.users.clone();
-        self.freq = snapshot.freq.clone();
-        self.extensions = snapshot.extensions.clone();
-        self.acc.events.truncate(snapshot.events_len);
-        self.acc.stats = snapshot.stats;
-        self.acc.page_views = snapshot.page_views;
-        self.acc.traces.truncate(snapshot.traces_len);
-        self.acc.trace_keys.truncate(snapshot.trace_keys_len);
-    }
-
     fn flush_tick(&mut self, tick_end: u64) -> TickBatch {
-        let acc = std::mem::replace(&mut self.acc, TickAcc::new());
-        TickBatch {
-            shard: self.shard,
-            tick_end,
-            events: acc.events,
-            stats: acc.stats,
-            page_views: acc.page_views,
-            requests: acc.requests,
-            shed: acc.shed,
-            shed_failure: acc.shed_failure,
-            shed_unknown_user: acc.shed_unknown_user,
-            latency: acc.latency,
-            batch_sizes: acc.batch_sizes,
-            injected: acc.injected,
-            recovered: acc.recovered,
-            unrecoverable: acc.unrecoverable,
-            lost: acc.lost.into_iter().collect(),
-            traces: acc.traces,
-            trace_keys: acc.trace_keys,
-            exemplar: acc.exemplar,
-        }
+        let mut tick = std::mem::replace(&mut self.acc, TickBatch::new(self.shard));
+        tick.tick_end = tick_end;
+        tick
     }
 }

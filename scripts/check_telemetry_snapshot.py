@@ -64,7 +64,6 @@ ENGINE_HISTOGRAMS = [
     "engine.tick_ns",
     "phase.session_gen_ns",
     "phase.auction_ns",
-    "phase.delivery_ns",
     "phase.merge_ns",
     "phase.apply_ns",
     "auction.eligible_bids",

@@ -13,6 +13,9 @@
 //! * **Winner provenance.** In a fully-sampled serving run, every served
 //!   page has a retained trace whose auction events name exactly the ads
 //!   the page carries.
+//! * **One decision record.** Batch and serving decide page views through
+//!   the same step, so for every request their fully-sampled traces carry
+//!   the same pixel, slot, candidate, auction and billing events.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -25,11 +28,11 @@ use treads_repro::adplatform::profile::Gender;
 use treads_repro::adplatform::reporting::Impression;
 use treads_repro::adplatform::targeting::{TargetingExpr, TargetingSpec};
 use treads_repro::adplatform::{Platform, PlatformConfig};
-use treads_repro::adsim_types::{Money, UserId};
+use treads_repro::adsim_types::{Money, SimTime, UserId};
 use treads_repro::engine::{Engine, EngineConfig, ResilienceOptions, DAY_MS};
 use treads_repro::resilience::FaultPlan;
 use treads_repro::serving::{OpportunityRequest, Response, ServingConfig, ServingEngine};
-use treads_repro::telemetry::{Telemetry, TraceConfig, TraceId};
+use treads_repro::telemetry::{Telemetry, TraceConfig, TraceEventKind, TraceId};
 use treads_repro::websim::{ArrivalSchedule, ExtensionLog, SessionConfig, SiteRegistry};
 
 /// Every durable output the byte-identity claims cover.
@@ -106,6 +109,16 @@ const SESSION: SessionConfig = SessionConfig {
 
 /// One batch run; `trace` = None runs untraced (disabled telemetry).
 fn batch_run(seed: u64, shards: usize, trace: Option<TraceConfig>) -> (Footprint, Vec<TraceId>) {
+    let (footprint, telemetry) = batch_telemetry(seed, shards, trace);
+    (footprint, trace_ids(&telemetry))
+}
+
+fn trace_ids(telemetry: &Telemetry) -> Vec<TraceId> {
+    telemetry.traces().iter().map(|t| t.id).collect()
+}
+
+/// [`batch_run`], returning the run's whole telemetry.
+fn batch_telemetry(seed: u64, shards: usize, trace: Option<TraceConfig>) -> (Footprint, Telemetry) {
     let mut f = fixture(seed, 18);
     let engine = Engine::new(EngineConfig {
         shards,
@@ -129,9 +142,7 @@ fn batch_run(seed: u64, shards: usize, trace: Option<TraceConfig>) -> (Footprint
         &f.extension_users,
         &mut telemetry,
     );
-    let ids = telemetry.traces().iter().map(|t| t.id).collect();
-    let extensions = outcome.extensions;
-    (footprint(f, extensions), ids)
+    (footprint(f, outcome.extensions), telemetry)
 }
 
 /// One serving run over the batch session schedule; `trace` = None runs
@@ -142,6 +153,17 @@ fn serving_run(
     trace: Option<TraceConfig>,
     faults: FaultPlan,
 ) -> (Footprint, Vec<TraceId>, u64) {
+    let (footprint, telemetry, shed) = serving_telemetry(seed, shards, trace, faults);
+    (footprint, trace_ids(&telemetry), shed)
+}
+
+/// [`serving_run`], returning the run's whole telemetry.
+fn serving_telemetry(
+    seed: u64,
+    shards: usize,
+    trace: Option<TraceConfig>,
+    faults: FaultPlan,
+) -> (Footprint, Telemetry, u64) {
     let mut f = fixture(seed, 18);
     let arrivals = ArrivalSchedule::from_sessions(&f.users, &f.sites.ids(), &SESSION, seed);
     let engine = ServingEngine::new(ServingConfig {
@@ -188,9 +210,35 @@ fn serving_run(
         },
     );
     let shed = outcome.report.shed;
-    let ids = telemetry.traces().iter().map(|t| t.id).collect();
-    let extensions = outcome.extensions;
-    (footprint(f, extensions), ids, shed)
+    (footprint(f, outcome.extensions), telemetry, shed)
+}
+
+/// Each retained trace's decision events, keyed by request: what the
+/// shared page-view step emits, without the path-specific root span,
+/// admission event or wall times.
+fn decisions(telemetry: &Telemetry) -> BTreeMap<(SimTime, u64, u64), Vec<TraceEventKind>> {
+    telemetry
+        .traces()
+        .iter()
+        .map(|t| {
+            let events = t
+                .events
+                .iter()
+                .map(|e| e.kind.clone())
+                .filter(|k| {
+                    matches!(
+                        k,
+                        TraceEventKind::PixelFired { .. }
+                            | TraceEventKind::Slot { .. }
+                            | TraceEventKind::Candidate { .. }
+                            | TraceEventKind::Auction { .. }
+                            | TraceEventKind::Billed { .. }
+                    )
+                })
+                .collect();
+            (t.key(), events)
+        })
+        .collect()
 }
 
 #[test]
@@ -330,4 +378,42 @@ fn every_served_page_has_a_trace_naming_its_winners() {
         pages_with_ads += u64::from(!page.ads.is_empty());
     }
     assert!(pages_with_ads > 0, "the run must actually deliver ads");
+}
+
+#[test]
+fn batch_and_serving_traces_carry_the_same_decisions() {
+    let seed = 64;
+    for shards in [1usize, 2] {
+        let (_, batch) = batch_telemetry(seed, shards, Some(TraceConfig::full()));
+        let (_, serving, shed) =
+            serving_telemetry(seed, shards, Some(TraceConfig::full()), FaultPlan::new());
+        assert_eq!(shed, 0, "a healthy run serves everything");
+        let (batch, serving) = (decisions(&batch), decisions(&serving));
+        assert!(
+            batch
+                .values()
+                .flatten()
+                .any(|k| matches!(k, TraceEventKind::Billed { .. })),
+            "the run must bill impressions"
+        );
+        assert!(
+            batch
+                .values()
+                .flatten()
+                .any(|k| matches!(k, TraceEventKind::PixelFired { .. })),
+            "the run must fire pixels"
+        );
+        assert_eq!(
+            batch.keys().collect::<Vec<_>>(),
+            serving.keys().collect::<Vec<_>>(),
+            "both paths trace the same requests at {shards} shards"
+        );
+        for (key, events) in &batch {
+            assert_eq!(
+                Some(events),
+                serving.get(key),
+                "request {key:?} decided differently at {shards} shards"
+            );
+        }
+    }
 }
